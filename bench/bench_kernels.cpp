@@ -1,7 +1,10 @@
 // google-benchmark microbenchmarks of the dense kernel substrate (the
 // real-execution speed of the simulation, not the modeled device times):
 // the four offloaded operations across supernodal panel shapes, serial vs
-// thread-pool parallel.
+// thread-pool parallel. The last shape of each serial kernel is the Serena
+// analog's largest supernode update (the perfbench dense probe's shapes).
+// The selected kernel variant is recorded in the benchmark context, so GF/s
+// figures can be attributed to an instruction set.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -45,7 +48,8 @@ void BM_Gemm(benchmark::State& state) {
 BENCHMARK(BM_Gemm)
     ->Args({256, 64, 128})
     ->Args({1024, 128, 256})
-    ->Args({2048, 256, 256});
+    ->Args({2048, 256, 256})
+    ->Args({411, 867, 516});
 
 void BM_GemmParallel(benchmark::State& state) {
   const index_t m = state.range(0), n = state.range(1), k = state.range(2);
@@ -76,7 +80,11 @@ void BM_Syrk(benchmark::State& state) {
       dense::flops_syrk(n, k) * state.iterations() / 1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Syrk)->Args({256, 64})->Args({1024, 128})->Args({2048, 128});
+BENCHMARK(BM_Syrk)
+    ->Args({256, 64})
+    ->Args({1024, 128})
+    ->Args({2048, 128})
+    ->Args({1278, 516});
 
 void BM_SyrkParallel(benchmark::State& state) {
   const index_t n = state.range(0), k = state.range(1);
@@ -111,7 +119,7 @@ void BM_Trsm(benchmark::State& state) {
       dense::flops_trsm(m, n) * state.iterations() / 1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Trsm)->Args({1024, 128})->Args({2048, 256});
+BENCHMARK(BM_Trsm)->Args({1024, 128})->Args({2048, 256})->Args({1278, 516});
 
 void BM_Potrf(benchmark::State& state) {
   const index_t n = state.range(0);
@@ -128,8 +136,17 @@ void BM_Potrf(benchmark::State& state) {
       dense::flops_potrf(n) * state.iterations() / 1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Potrf)->Arg(128)->Arg(512)->Arg(1024);
+BENCHMARK(BM_Potrf)->Arg(128)->Arg(512)->Arg(1024)->Arg(1584);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext(
+      "dense_kernel_variant",
+      dense::kernel_variant_name(dense::kernel_variant()));
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -123,8 +123,6 @@ void validate(const SolveOptions& o) {
 
 namespace detail {
 
-thread_local FactorContext::BatchAccum* FactorContext::tl_batch_ = nullptr;
-
 PlannedGraph build_planned_graph(const SymbolicFactor& symb,
                                  const FactorOptions& opts,
                                  std::size_t workers) {

@@ -568,7 +568,10 @@ struct FactorContext {
     num_cpu_blas_calls += acc.calls;
   }
 
-  static thread_local BatchAccum* tl_batch_;
+  // Constant-initialized inline definition: every translation unit reads
+  // the slot directly instead of through a TLS init wrapper, which UBSan
+  // misreports as a null-pointer load.
+  static inline thread_local BatchAccum* tl_batch_ = nullptr;
 
   /// One (src,dst) pair's running cross-device traffic (ndev×ndev,
   /// row-major; guarded by account_mu_).

@@ -2,6 +2,19 @@
 // column-major with explicit leading dimensions. These are the four
 // operations the paper offloads: DPOTRF, DTRSM, DSYRK, DGEMM.
 //
+// GEMM and SYRK run one packed, register-blocked kernel: A is packed into
+// MR-row slivers and B into NR-column slivers (zero-padded), and an MR×NR
+// FMA register tile sweeps kGemmKC-deep panels. TRSM and POTRF route most
+// of their flops through GEMM/SYRK. The instruction-set variant of every
+// kernel (AVX-512F, AVX2+FMA or portable) is chosen once per process from
+// cpuid; packing workspaces are per thread and matrix-size independent.
+//
+// Numeric contract: every element of C := C − A·Bᵀ is computed the same
+// way wherever it falls in a tile or a thread partition — for each kGemmKC
+// block of k, starting at k = 0: acc = 0; acc = fma(a_ik, b_jk, acc) for k
+// ascending; c_ij −= acc. All variants follow it, so they give the same
+// bits.
+//
 // The *_parallel variants partition the OUTPUT across threads so every
 // element is written by exactly one thread with a fixed accumulation
 // order — results are bitwise identical to the serial kernels.
@@ -32,6 +45,32 @@ void syrk_lower_nt(index_t n, index_t k, const double* a, index_t lda,
 void gemm_nt_minus(index_t m, index_t n, index_t k, const double* a,
                    index_t lda, const double* b, index_t ldb, double* c,
                    index_t ldc);
+
+// ---- kernel variants ----------------------------------------------------
+
+/// Instruction-set variant of the dense kernels.
+enum class KernelVariant { kPortable, kAvx2, kAvx512 };
+
+/// The variant every dense kernel in this process runs: the widest one the
+/// host supports, detected once.
+KernelVariant kernel_variant();
+bool kernel_variant_supported(KernelVariant v);
+const char* kernel_variant_name(KernelVariant v);
+
+/// gemm_nt_minus / syrk_lower_nt on an explicit (supported) variant; every
+/// variant gives the same bits as the one kernel_variant() selects.
+void gemm_nt_minus_variant(KernelVariant v, index_t m, index_t n, index_t k,
+                           const double* a, index_t lda, const double* b,
+                           index_t ldb, double* c, index_t ldc);
+void syrk_lower_nt_variant(KernelVariant v, index_t n, index_t k,
+                           const double* a, index_t lda, double* c,
+                           index_t ldc);
+
+/// Blocking of the packed kernel: k depth of one accumulation block, rows of
+/// A and columns of B packed per block (multiples of every variant's tile).
+inline constexpr index_t kGemmKC = 256;
+inline constexpr index_t kGemmMC = 96;
+inline constexpr index_t kGemmNC = 128;
 
 // ---- parallel variants -------------------------------------------------
 

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "spchol/dense/isa.hpp"
 #include "spchol/dense/kernels.hpp"
 
 namespace spchol::dense {
@@ -10,8 +11,11 @@ namespace {
 constexpr index_t kNB = 64;
 
 /// Right-looking unblocked Cholesky on an nb×nb diagonal block.
-/// `col_offset` shifts the column reported by NotPositiveDefinite.
-void potrf_unblocked(index_t nb, double* a, index_t lda, index_t col_offset) {
+/// `col_offset` shifts the column reported by NotPositiveDefinite. Trailing
+/// updates are a(i,t) = fma(−a(i,j), a(t,j), a(i,t)) in every variant.
+[[gnu::always_inline]] inline void potrf_unblocked_body(index_t nb, double* a,
+                                                        index_t lda,
+                                                        index_t col_offset) {
   for (index_t j = 0; j < nb; ++j) {
     const double d = a[j + j * lda];
     if (!(d > 0.0) || !std::isfinite(d)) {
@@ -20,14 +24,42 @@ void potrf_unblocked(index_t nb, double* a, index_t lda, index_t col_offset) {
     const double root = std::sqrt(d);
     a[j + j * lda] = root;
     const double inv = 1.0 / root;
-    for (index_t i = j + 1; i < nb; ++i) a[i + j * lda] *= inv;
+    double* col_j = a + j * lda;
+    for (index_t i = j + 1; i < nb; ++i) col_j[i] *= inv;
     for (index_t t = j + 1; t < nb; ++t) {
-      const double v = a[t + j * lda];
+      const double v = col_j[t];
       if (v == 0.0) continue;
-      const double* col_j = a + j * lda;
       double* col_t = a + t * lda;
-      for (index_t i = t; i < nb; ++i) col_t[i] -= col_j[i] * v;
+      for (index_t i = t; i < nb; ++i) {
+        col_t[i] = std::fma(-col_j[i], v, col_t[i]);
+      }
     }
+  }
+}
+
+#if SPCHOL_DENSE_X86
+SPCHOL_TARGET_AVX512 void potrf_unblocked_avx512(index_t nb, double* a,
+                                                 index_t lda,
+                                                 index_t col_offset) {
+  potrf_unblocked_body(nb, a, lda, col_offset);
+}
+SPCHOL_TARGET_AVX2 void potrf_unblocked_avx2(index_t nb, double* a,
+                                             index_t lda,
+                                             index_t col_offset) {
+  potrf_unblocked_body(nb, a, lda, col_offset);
+}
+#endif
+
+void potrf_unblocked(index_t nb, double* a, index_t lda, index_t col_offset) {
+  switch (kernel_variant()) {
+#if SPCHOL_DENSE_X86
+    case KernelVariant::kAvx512:
+      return potrf_unblocked_avx512(nb, a, lda, col_offset);
+    case KernelVariant::kAvx2:
+      return potrf_unblocked_avx2(nb, a, lda, col_offset);
+#endif
+    default:
+      return potrf_unblocked_body(nb, a, lda, col_offset);
   }
 }
 

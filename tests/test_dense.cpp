@@ -3,6 +3,7 @@
 // determinism rests on).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "spchol/dense/kernels.hpp"
@@ -43,6 +44,13 @@ double max_diff(const std::vector<double>& a, const std::vector<double>& b) {
   return d;
 }
 
+// Bitwise equality (a NaN-vs-number mismatch fails, unlike a max |a − b|
+// reduction through std::max).
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 // ---- GEMM ----------------------------------------------------------------
 
 struct GemmShape {
@@ -73,7 +81,7 @@ TEST_P(GemmTest, ParallelBitwiseEqualsSerial) {
   gemm_nt_minus(m, n, k, a.data(), lda, b.data(), ldb, c1.data(), ldc);
   gemm_nt_minus_parallel(ThreadPool::global(), 8, m, n, k, a.data(), lda,
                          b.data(), ldb, c2.data(), ldc);
-  EXPECT_EQ(max_diff(c1, c2), 0.0);
+  EXPECT_TRUE(bitwise_equal(c1, c2));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -126,7 +134,7 @@ TEST_P(SyrkTest, ParallelBitwiseEqualsSerial) {
   syrk_lower_nt(n, k, a.data(), n, c1.data(), n);
   syrk_lower_nt_parallel(ThreadPool::global(), 7, n, k, a.data(), n,
                          c2.data(), n);
-  EXPECT_EQ(max_diff(c1, c2), 0.0);
+  EXPECT_TRUE(bitwise_equal(c1, c2));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -188,7 +196,7 @@ TEST_P(TrsmTest, ParallelBitwiseEqualsSerial) {
   trsm_right_lower_trans(m, n, l.data(), n, b1.data(), m);
   trsm_right_lower_trans_parallel(ThreadPool::global(), 6, m, n, l.data(), n,
                                   b2.data(), m);
-  EXPECT_EQ(max_diff(b1, b2), 0.0);
+  EXPECT_TRUE(bitwise_equal(b1, b2));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -250,7 +258,7 @@ TEST_P(PotrfTest, ParallelBitwiseEqualsSerial) {
   auto a2 = a1;
   potrf_lower(n, a1.data(), n);
   potrf_lower_parallel(ThreadPool::global(), 8, n, a2.data(), n);
-  EXPECT_EQ(max_diff(a1, a2), 0.0);
+  EXPECT_TRUE(bitwise_equal(a1, a2));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PotrfTest,
@@ -268,6 +276,100 @@ TEST(Potrf, ThrowsOnIndefiniteWithColumnIndex) {
     FAIL() << "expected NotPositiveDefinite";
   } catch (const NotPositiveDefinite& e) {
     EXPECT_EQ(e.column(), 70);
+  }
+}
+
+// ---- Packed-kernel numeric contract ----------------------------------------
+// Every output element is computed by one formula wherever it falls in the
+// register tiles, cache blocks or a thread partition. Sizes cross the tile
+// edges of every variant (MR 4/12/16, NR 4/8), kGemmMC and kGemmNC; depths
+// cover one step, exactly one kGemmKC block, and a ragged third block.
+
+constexpr index_t kContractM = kGemmMC + 5;   // 101
+constexpr index_t kContractN = kGemmNC + 5;   // 133
+const index_t kContractDepths[] = {1, kGemmKC, 2 * kGemmKC + 1};
+
+TEST(DenseContract, GemmRowAndColumnSplitsAreBitwiseInvariant) {
+  const index_t m = kContractM, n = kContractN;
+  for (const index_t k : kContractDepths) {
+    const index_t lda = m + 1, ldb = n + 3, ldc = m + 2;
+    const auto a = random_matrix(m, k, lda, 30);
+    const auto b = random_matrix(n, k, ldb, 31);
+    const auto c0 = random_matrix(m, n, ldc, 32);
+    auto whole = c0;
+    gemm_nt_minus(m, n, k, a.data(), lda, b.data(), ldb, whole.data(), ldc);
+    for (index_t s = 0; s <= m; ++s) {
+      auto c = c0;
+      gemm_nt_minus(s, n, k, a.data(), lda, b.data(), ldb, c.data(), ldc);
+      gemm_nt_minus(m - s, n, k, a.data() + s, lda, b.data(), ldb,
+                    c.data() + s, ldc);
+      ASSERT_TRUE(bitwise_equal(c, whole)) << "row split " << s << " k " << k;
+    }
+    for (index_t s = 0; s <= n; ++s) {
+      auto c = c0;
+      gemm_nt_minus(m, s, k, a.data(), lda, b.data(), ldb, c.data(), ldc);
+      gemm_nt_minus(m, n - s, k, a.data(), lda, b.data() + s, ldb,
+                    c.data() + static_cast<std::size_t>(s) * ldc, ldc);
+      ASSERT_TRUE(bitwise_equal(c, whole)) << "col split " << s << " k " << k;
+    }
+  }
+}
+
+TEST(DenseContract, SyrkColumnSplitIsBitwiseInvariant) {
+  const index_t n = kContractN;
+  for (const index_t k : kContractDepths) {
+    const index_t lda = n + 1, ldc = n + 2;
+    const auto a = random_matrix(n, k, lda, 33);
+    const auto c0 = random_matrix(n, n, ldc, 34);
+    auto whole = c0;
+    syrk_lower_nt(n, k, a.data(), lda, whole.data(), ldc);
+    for (index_t s = 0; s <= n; ++s) {
+      // Columns [0, s): the leading triangle plus a GEMM for the rows below
+      // (syrk_lower_nt_parallel's chunk shape); columns [s, n): the
+      // trailing triangle.
+      auto c = c0;
+      syrk_lower_nt(s, k, a.data(), lda, c.data(), ldc);
+      gemm_nt_minus(n - s, s, k, a.data() + s, lda, a.data(), lda,
+                    c.data() + s, ldc);
+      syrk_lower_nt(n - s, k, a.data() + s, lda,
+                    c.data() + s + static_cast<std::size_t>(s) * ldc, ldc);
+      ASSERT_TRUE(bitwise_equal(c, whole)) << "split " << s << " k " << k;
+    }
+  }
+}
+
+TEST(DenseContract, EverySupportedVariantMatchesPortableBitwise) {
+  ASSERT_TRUE(kernel_variant_supported(kernel_variant()));
+  const KernelVariant variants[] = {KernelVariant::kPortable,
+                                    KernelVariant::kAvx2,
+                                    KernelVariant::kAvx512};
+  const index_t m = kContractM, n = kContractN;
+  for (const index_t k : kContractDepths) {
+    const auto a = random_matrix(m, k, m, 35);
+    const auto b = random_matrix(n, k, n, 36);
+    const auto ca = random_matrix(n, n, n, 37);
+    const auto cg = random_matrix(m, n, m, 38);
+    auto gemm_ref = cg;
+    gemm_nt_minus_variant(KernelVariant::kPortable, m, n, k, a.data(), m,
+                          b.data(), n, gemm_ref.data(), m);
+    auto syrk_ref = ca;
+    syrk_lower_nt_variant(KernelVariant::kPortable, n, k, b.data(), n,
+                          syrk_ref.data(), n);
+    for (const KernelVariant v : variants) {
+      if (!kernel_variant_supported(v)) continue;
+      auto g = cg;
+      gemm_nt_minus_variant(v, m, n, k, a.data(), m, b.data(), n, g.data(), m);
+      EXPECT_TRUE(bitwise_equal(g, gemm_ref))
+          << kernel_variant_name(v) << " gemm k " << k;
+      auto sy = ca;
+      syrk_lower_nt_variant(v, n, k, b.data(), n, sy.data(), n);
+      EXPECT_TRUE(bitwise_equal(sy, syrk_ref))
+          << kernel_variant_name(v) << " syrk k " << k;
+    }
+    // The process-wide kernels run the selected variant.
+    auto g = cg;
+    gemm_nt_minus(m, n, k, a.data(), m, b.data(), n, g.data(), m);
+    EXPECT_TRUE(bitwise_equal(g, gemm_ref)) << "gemm_nt_minus k " << k;
   }
 }
 
