@@ -107,7 +107,7 @@ struct Avx512Tile {
 
 #endif  // SPCHOL_DENSE_X86
 
-// ---- packing and the blocked driver ----------------------------------------
+// ---- packing and the blocked loop nest -------------------------------------
 
 struct FreeDeleter {
   void operator()(double* p) const noexcept { std::free(p); }
